@@ -104,6 +104,7 @@ from repro.engine.cache import (
 )
 from repro.engine.tasks import WorkerCrashError
 from repro.kernels.base import as_2d
+from repro.kernels.gram import frobenius_inner, reduce_strip_rows
 from repro.kernels.partition_kernel import BlockKernelFactory, default_block_kernel
 from repro.telemetry import get_tracer
 
@@ -757,7 +758,10 @@ class PlacedGramCache(_KeyLocked):
                     diagonal = np.concatenate(
                         [raw[owners[s]]["diag"][s] for s in range(self.n_shards)]
                     )
-                    scale = np.sqrt(np.clip(diagonal, 1e-12, None))
+                    # A diagonal of exact ones scales nothing (as in
+                    # ShardedGramCache): holders skip the division.
+                    if not np.all(diagonal == 1.0):
+                        scale = np.sqrt(np.clip(diagonal, 1e-12, None))
                 scaled, owners = self._fan_out(
                     MSG_BLOCK_SCALE, {"key": key, "scale": scale}
                 )
@@ -1239,12 +1243,13 @@ class PlacedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
     """Centred-Gram scalars reduced across worker-resident strips.
 
     Scalar surface identical to
-    :class:`~repro.engine.cache.ShardedBlockStatsCache`; the per-strip
-    partial statistics are computed by the strip's primary holder and
-    summed coordinator-side **in strip order**, which keeps every value
-    bit-identical to the in-process sharded cache — including after a
-    holder death promotes a replica (the replica built its copy with
-    the same code on the same inputs).
+    :class:`~repro.engine.cache.ShardedBlockStatsCache`; the per-row
+    partial statistics of each strip (O(n / shards) floats) are
+    computed by the strip's primary holder and reduced coordinator-side
+    **in strip order**, which keeps every value bit-identical to the
+    in-process sharded (and dense) cache — including after a holder
+    death promotes a replica (the replica built its copy with the same
+    code on the same inputs).
     """
 
     def __init__(self, grams: PlacedGramCache, y: np.ndarray):
@@ -1260,7 +1265,7 @@ class PlacedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         # Rank-1 centred target, exactly as the sharded cache: its
         # statistics are O(n) and stay coordinator-side.
         self.centered_y = y - y.mean()
-        self.target_norm = float(self.centered_y @ self.centered_y)
+        self.target_norm = frobenius_inner(self.centered_y, self.centered_y)
         # Ledger parity with the dense cache's two target passes.
         self.n_matrix_ops = 2
 
@@ -1298,18 +1303,14 @@ class PlacedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
                 if key not in self._centered_keys:
                     self._ensure_target()
                     replies, owners = self._center_fan_out(key)
-                    target_inner = float(
-                        sum(
-                            replies[owners[s]]["stats"][s][0]
-                            for s in range(self.grams.n_shards)
-                        )
+                    stats = [
+                        replies[owners[s]]["stats"][s]
+                        for s in range(self.grams.n_shards)
+                    ]
+                    target_inner = reduce_strip_rows(
+                        [part[0] for part in stats], self.centered_y
                     )
-                    self_inner = float(
-                        sum(
-                            replies[owners[s]]["stats"][s][1]
-                            for s in range(self.grams.n_shards)
-                        )
-                    )
+                    self_inner = reduce_strip_rows([part[1] for part in stats])
                     for worker, reply in replies.items():
                         self.grams.resident_strip_bytes[worker] = int(
                             reply["resident_bytes"]
@@ -1325,15 +1326,12 @@ class PlacedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         replies, owners = self.grams._fan_out(
             MSG_PAIR, {"key": key[0], "other": key[1]}
         )
-        return float(
-            sum(
-                replies[owners[s]]["inners"][s]
-                for s in range(self.grams.n_shards)
-            )
+        return reduce_strip_rows(
+            [replies[owners[s]]["inners"][s] for s in range(self.grams.n_shards)]
         )
 
     def pair_inner(self, first: Sequence[int], second: Sequence[int]) -> float:
-        """``M_ij`` as a strip-order sum of primary-holder strip inners."""
+        """``M_ij`` reduced in strip order from primary-holder row inners."""
         key = tuple(
             sorted((canonical_block_key(first), canonical_block_key(second)))
         )

@@ -126,6 +126,11 @@ from repro.cluster.protocol import (
 )
 from repro.engine.cache import _normalize_factor_rows
 from repro.engine.tasks import encode_result, score_task_payload
+from repro.kernels.gram import (
+    center_symmetric_strip,
+    strip_row_inners,
+    strip_row_stats,
+)
 from repro.telemetry import MetricsRegistry, get_tracer
 
 __all__ = ["WorkerServer", "configure_worker_logging", "main"]
@@ -579,9 +584,11 @@ class WorkerServer:
     # -- placement plane -----------------------------------------------
     #
     # Every numerical step below mirrors ShardedGramCache /
-    # ShardedBlockStatsCache exactly (same expressions, same operand
-    # order), which is what makes the reduced statistics bit-identical
-    # to the in-process sharded caches.
+    # ShardedBlockStatsCache exactly: the centring and the strip
+    # reductions call the same repro.kernels.gram helpers, and the rest
+    # uses the same expressions in the same operand order, which is
+    # what makes the reduced statistics bit-identical to the in-process
+    # sharded caches.
 
     def _raw_strips(self, state: _PlacementState, key: tuple) -> dict[int, np.ndarray]:
         """Raw (unscaled) strips for a block, for every held slice.
@@ -627,6 +634,25 @@ class WorkerServer:
                 strips[index] = strip
             state.raw.pop(key, None)
         return strips
+
+    def _centered_strips(
+        self,
+        state: _PlacementState,
+        key: tuple,
+        scale,
+        row_means: np.ndarray,
+        grand_mean: float,
+    ) -> dict[int, np.ndarray]:
+        """Centred strips for every held slice, filling any gap with the
+        same centring helper the in-process sharded cache calls."""
+        strips = self._scaled_strips(state, key, scale)
+        centered = state.centered.setdefault(key, {})
+        for index, strip in strips.items():
+            if index not in centered:
+                centered[index] = center_symmetric_strip(
+                    strip, row_means[state.slices[index]], row_means, grand_mean
+                )
+        return centered
 
     def _landmark_strips(
         self, state: _PlacementState, key: tuple, transform
@@ -765,16 +791,9 @@ class WorkerServer:
                 # The shared helpers fill exactly the adopted (missing)
                 # slices with the one copy of the raw/scale arithmetic,
                 # keeping the bit-identity contract in a single place.
-                strips = self._scaled_strips(state, key, spec["scale"])
-                centered = state.centered.setdefault(key, {})
-                for index, strip in strips.items():
-                    if index not in centered:
-                        centered[index] = (
-                            strip
-                            - row_means[state.slices[index], None]
-                            - row_means[None, :]
-                            + grand_mean
-                        )
+                self._centered_strips(
+                    state, key, spec["scale"], row_means, grand_mean
+                )
             return {"resident_bytes": state.resident_bytes()}
         if msg_type == MSG_LANDMARK_FACTOR:
             strips = self._landmark_strips(
@@ -848,21 +867,11 @@ class WorkerServer:
             yc = state.centered_y
             if yc is None:
                 raise RuntimeError("MSG_BLOCK_CENTER before MSG_TARGET")
-            strips = self._scaled_strips(state, key, request.get("scale"))
-            centered = state.centered.setdefault(key, {})
-            for index, strip in strips.items():
-                if index not in centered:
-                    centered[index] = (
-                        strip
-                        - row_means[state.slices[index], None]
-                        - row_means[None, :]
-                        + grand_mean
-                    )
+            centered = self._centered_strips(
+                state, key, request.get("scale"), row_means, grand_mean
+            )
             stats = {
-                index: (
-                    yc[state.slices[index]] @ strip @ yc,
-                    np.sum(strip * strip),
-                )
+                index: strip_row_stats(strip, yc)
                 for index, strip in centered.items()
             }
             return {"stats": stats, "resident_bytes": state.resident_bytes()}
@@ -877,7 +886,7 @@ class WorkerServer:
             second = state.centered.get(other, {})
             return {
                 "inners": {
-                    index: np.sum(first[index] * second[index])
+                    index: strip_row_inners(first[index], second[index])
                     for index in first
                     if index in second
                 }

@@ -125,15 +125,23 @@ def partitions_of_type(
     def build(
         remaining: tuple, parts: tuple[int, ...], blocks: tuple
     ) -> Iterator[SetPartition]:
-        if not parts:
-            yield SetPartition(blocks)
-            return
-        head, *tail = remaining
-        for chosen in itertools.combinations(tuple(remaining)[1:], parts[0] - 1):
-            block = (head,) + chosen
-            rest = tuple(e for e in remaining if e not in block)
-            yield from build(rest, tuple(parts[1:]), blocks + (block,))
+        # Heads ascend and each block is its head plus a sorted
+        # combination of larger elements, so every partition built here
+        # is already canonical and skips SetPartition's validation.
+        head, tail = remaining[0], remaining[1:]
+        last = len(parts) == 2
+        for chosen in itertools.combinations(tail, parts[0] - 1):
+            rest = tuple(e for e in tail if e not in chosen)
+            grown = blocks + ((head,) + chosen,)
+            if last:
+                # The final block is everything left.
+                yield SetPartition._from_canonical(grown + (rest,))
+            else:
+                yield from build(rest, parts[1:], grown)
 
+    if len(composition) < 2:
+        yield SetPartition([elements])
+        return
     yield from build(tuple(elements), composition, ())
 
 

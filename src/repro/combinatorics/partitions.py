@@ -46,7 +46,7 @@ class SetPartition:
     ('a', 'b')
     """
 
-    __slots__ = ("_blocks", "_ground", "_index", "_hash")
+    __slots__ = ("_blocks", "_ground_set", "_index_map", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[Element]]):
         cleaned: list[tuple[Element, ...]] = []
@@ -64,11 +64,44 @@ class SetPartition:
             raise ValueError("a partition needs at least one block")
         cleaned.sort(key=lambda block: block[0])
         self._blocks: tuple[tuple[Element, ...], ...] = tuple(cleaned)
-        self._ground: frozenset[Element] = frozenset(seen)
-        self._index: dict[Element, int] = {
-            element: i for i, block in enumerate(cleaned) for element in block
-        }
+        self._ground_set: frozenset[Element] | None = frozenset(seen)
+        self._index_map: dict[Element, int] | None = None
         self._hash = hash(self._blocks)
+
+    @classmethod
+    def _from_canonical(
+        cls, blocks: tuple[tuple[Element, ...], ...]
+    ) -> "SetPartition":
+        """Trusted constructor for generators that already emit the
+        canonical form: non-empty, pairwise-disjoint blocks, each
+        sorted, ordered by their first element.  Skips the validation
+        and sorting of ``__init__``; callers own the invariant.  The
+        ground set and element index are built on first use."""
+        partition = cls.__new__(cls)
+        partition._blocks = blocks
+        partition._ground_set = None
+        partition._index_map = None
+        partition._hash = hash(blocks)
+        return partition
+
+    @property
+    def _index(self) -> dict[Element, int]:
+        """Element -> block index, built on first use."""
+        index = self._index_map
+        if index is None:
+            index = self._index_map = {
+                element: i
+                for i, block in enumerate(self._blocks)
+                for element in block
+            }
+        return index
+
+    @property
+    def _ground(self) -> frozenset[Element]:
+        ground = self._ground_set
+        if ground is None:
+            ground = self._ground_set = frozenset(self._index)
+        return ground
 
     # ------------------------------------------------------------------
     # Constructors

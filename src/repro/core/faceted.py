@@ -369,7 +369,7 @@ class FacetedLearner:
         # Cache per-block training self-similarities for cross-Gram
         # normalisation at predict time.
         self._train_diags = [
-            np.sqrt(np.clip(np.diag(self.block_kernel(block)(X)), 1e-12, None))
+            np.sqrt(np.clip(self.block_kernel(block).diagonal(X), 1e-12, None))
             for block in self.partition_.blocks
         ]
         return self

@@ -51,6 +51,7 @@ from repro.engine.tasks import (
 from repro.telemetry import get_tracer, merge_counts
 
 __all__ = [
+    "process_context",
     "EvaluationBackend",
     "SerialBackend",
     "ThreadPoolBackend",
@@ -131,11 +132,43 @@ class ThreadPoolBackend:
             self._pool = None
 
 
+#: Modules the fork server imports once, so every worker it forks
+#: starts with the engine and the serving store already loaded.
+PRELOAD_MODULES = ["repro.engine.tasks", "repro.serving.plane"]
+
+
+def process_context(method: str | None = None):
+    """The ``multiprocessing`` context worker processes start from.
+
+    The default is ``forkserver`` (``spawn`` where that is missing):
+    workers fork from a clean single-threaded server process, never
+    from the caller.  A plain ``fork`` from a parent that already runs
+    threads — tenant searches, prefetch, BLAS pools — can copy a lock
+    some other thread holds into the child, which then hangs.  The
+    server preloads :data:`PRELOAD_MODULES`, so each worker skips the
+    imports a ``spawn`` start would pay.
+    """
+    import multiprocessing
+
+    if method is None:
+        method = (
+            "forkserver"
+            if "forkserver" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+    context = multiprocessing.get_context(method)
+    if method == "forkserver":
+        # Takes effect when the server first starts; one per process.
+        context.set_forkserver_preload(PRELOAD_MODULES)
+    return context
+
+
 class ProcessPoolBackend:
     """Fan partition scoring out to a persistent process pool.
 
-    The pool is created lazily (with the ``fork`` start method where
-    available, ``spawn`` otherwise) and reused across batches.  Two
+    The pool is created lazily (from :func:`process_context`:
+    ``forkserver`` where available, ``spawn`` otherwise, or the
+    ``mp_context`` start method given) and reused across batches.  Two
     entry points:
 
     * ``map(fn, items)`` — generic order-preserving map for *picklable*
@@ -187,17 +220,12 @@ class ProcessPoolBackend:
 
     def _ensure_pool(self):
         if self._pool is None:
-            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            method = self.mp_context or (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
+            context = process_context(self.mp_context)
+            method = context.get_start_method()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context(method),
+                max_workers=self.max_workers, mp_context=context
             )
             tracer = get_tracer()
             if tracer.enabled:
@@ -220,13 +248,12 @@ class ProcessPoolBackend:
     def warm_up(self) -> None:
         """Create the worker pool now instead of on first use.
 
-        With the ``fork`` start method the pool should exist before the
-        coordinator spawns any threads (overlap prefetch, thread-pool
-        backends): forking a multi-threaded process can inherit locked
-        allocator/BLAS mutexes in the children.  The engine calls this
-        before starting its prefetch thread; embedders running their
-        own threads should either call it up front or construct the
-        backend with ``mp_context="spawn"`` / ``"forkserver"``.
+        The engine calls this before starting its prefetch thread.  The
+        default start methods never fork the caller, so this only moves
+        the start-up cost; with an explicit ``mp_context="fork"`` the
+        pool must exist before the caller starts any thread, because
+        forking a multi-threaded process can inherit locked
+        allocator/BLAS mutexes in the children.
         """
         self._ensure_pool()
 

@@ -49,10 +49,12 @@ import numpy as np
 from repro.combinatorics.partitions import SetPartition
 from repro.kernels.base import as_2d
 from repro.kernels.gram import (
-    center_gram,
-    centered_target_gram,
+    center_symmetric_strip,
     frobenius_inner,
     normalize_gram,
+    reduce_strip_rows,
+    strip_row_inners,
+    strip_row_stats,
 )
 from repro.kernels.partition_kernel import BlockKernelFactory, default_block_kernel
 from repro.telemetry import get_tracer
@@ -197,12 +199,13 @@ def query_block_diags(
     """Per-block query self-similarity diagonals for normalisation.
 
     These depend only on the query batch, so a request fan-out computes
-    them once and ships the O(b · batch) vectors with the request
-    instead of every strip holder redoing the O(batch²) work.
+    them once and ships the O(b · batch) vectors with the request.
+    :meth:`~repro.kernels.base.Kernel.diagonal` makes them O(batch) for
+    RBF and Laplacian blocks (exact ones) instead of a batch×batch Gram.
     """
     X_query = as_2d(X_query)
     return [
-        np.sqrt(np.clip(np.diag(block_kernel(block)(X_query)), 1e-12, None))
+        np.sqrt(np.clip(block_kernel(block).diagonal(X_query), 1e-12, None))
         for block in blocks
     ]
 
@@ -392,9 +395,11 @@ class BlockStatsCache(_KeyLocked, _PartitionStatsMixin):
     * ``a_i  = <C_i, C_T>``   (inner product with the centred target),
     * ``M_ij = <C_i, C_j>``   (pairwise, computed lazily per pair),
 
-    plus ``||C_T||_F`` once.  Centred alignment of any weighted
-    combination ``K_w = sum_i w_i K_i`` then follows from linearity of
-    the centring map:
+    plus ``||C_T||_F`` once.  The centred target is rank-1,
+    ``C_T = (Hy)(Hy)'``, so ``a_i = (Hy)' C_i (Hy)`` and
+    ``||C_T||_F = ||Hy||²`` need no n×n target.  Centred alignment of
+    any weighted combination ``K_w = sum_i w_i K_i`` then follows from
+    linearity of the centring map:
 
         rho(w) = (w·a) / (sqrt(w'Mw) · ||C_T||)
 
@@ -415,9 +420,11 @@ class BlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         self._centered: dict[BlockKey, np.ndarray] = {}
         self._target_inner: dict[BlockKey, float] = {}
         self._pair_inner: dict[tuple[BlockKey, BlockKey], float] = {}
-        # One-time target statistics: centring pass + norm pass.
-        self.centered_target = centered_target_gram(y)
-        self.target_norm = float(np.linalg.norm(self.centered_target))
+        # Rank-1 centred target C_T = (Hy)(Hy)', as in the sharded
+        # cache: ||C_T||_F = ||Hy||², and no n×n target is formed.
+        self.centered_y = y - y.mean()
+        self.target_norm = frobenius_inner(self.centered_y, self.centered_y)
+        # Ledger parity with the historical centring + norm passes.
         self.n_matrix_ops = 2
 
     def block_stats(self, block: Sequence[int]) -> tuple[float, float]:
@@ -433,11 +440,16 @@ class BlockStatsCache(_KeyLocked, _PartitionStatsMixin):
                     with get_tracer().span(
                         "cache.block_stats", cat="cache", block_size=len(key)
                     ):
-                        centered = center_gram(self.grams.gram(key))
-                        target_inner = frobenius_inner(
-                            centered, self.centered_target
+                        gram = self.grams.gram(key)
+                        # The one-strip case of the sharded arithmetic.
+                        row_means = gram.mean(axis=1)
+                        centered = center_symmetric_strip(
+                            gram, row_means, row_means, float(row_means.mean())
                         )
-                        self_inner = frobenius_inner(centered, centered)
+                        yc = self.centered_y
+                        target_rows, self_rows = strip_row_stats(centered, yc)
+                        target_inner = reduce_strip_rows([target_rows], yc)
+                        self_inner = reduce_strip_rows([self_rows])
                     with self._lock:
                         self._target_inner[key] = target_inner
                         self._pair_inner[(key, key)] = self_inner
@@ -459,7 +471,8 @@ class BlockStatsCache(_KeyLocked, _PartitionStatsMixin):
             return self._pair_inner[key]
         with self._key_lock(("pair", key)):
             if key not in self._pair_inner:
-                value = frobenius_inner(self._centered[key[0]], self._centered[key[1]])
+                first, second = self._centered[key[0]], self._centered[key[1]]
+                value = reduce_strip_rows([strip_row_inners(first, second)])
                 with self._lock:
                     self._pair_inner[key] = value
                     self.n_matrix_ops += 1
@@ -557,11 +570,13 @@ class ShardedGramCache(_KeyLocked):
                                 for strip, sl in zip(strips, self.row_slices)
                             ]
                         )
-                        scale = np.sqrt(np.clip(diagonal, 1e-12, None))
-                        strips = [
-                            strip / np.outer(scale[sl], scale)
-                            for strip, sl in zip(strips, self.row_slices)
-                        ]
+                        # A diagonal of exact ones scales nothing.
+                        if not np.all(diagonal == 1.0):
+                            scale = np.sqrt(np.clip(diagonal, 1e-12, None))
+                            strips = [
+                                strip / np.outer(scale[sl], scale)
+                                for strip, sl in zip(strips, self.row_slices)
+                            ]
                 with self._lock:
                     self._store[key] = strips
                     self.n_gram_computations += 1
@@ -594,17 +609,20 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
 
     * the centred target is rank-1, ``C_T = H(yy')H = (Hy)(Hy)'``, so
       ``||C_T||_F = ||Hy||²`` and ``a_i = <C_i, C_T> = (Hy)' C_i (Hy)``
-      reduce to per-shard vector products;
+      reduce to per-row vector products;
     * centring a strip needs only the global row-mean vector (an O(n)
       reduction of per-shard row sums — the symmetric Gram's column
       means equal its row means) plus the grand mean;
-    * ``M_ij`` is the sum of per-shard strip inner products.
+    * ``M_ij`` is the sum of per-row strip inner products.
 
     ``n_matrix_ops`` counts logical full-matrix-equivalent passes with
     the same schedule as the dense cache (2 for the target, 3 per
     block, 1 per pair), so sharded and dense runs stay comparable in
-    the complexity ledgers.  Scalars agree with the dense cache to
-    float accumulation order (~1e-9 relative), not bitwise.
+    the complexity ledgers.  Scalars equal the dense cache's bit for
+    bit: strips are the dense Gram's rows, and every statistic is
+    reduced from per-row shares concatenated in row order
+    (:func:`~repro.kernels.gram.reduce_strip_rows`), the same
+    arithmetic for one strip or many.
     """
 
     def __init__(self, grams: ShardedGramCache, y: np.ndarray):
@@ -619,7 +637,7 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         self._pair_inner: dict[tuple[BlockKey, BlockKey], float] = {}
         # Rank-1 centred target: C_T = (Hy)(Hy)'; its stats are O(n).
         self.centered_y = y - y.mean()
-        self.target_norm = float(self.centered_y @ self.centered_y)
+        self.target_norm = frobenius_inner(self.centered_y, self.centered_y)
         # Ledger parity with the dense cache's two target passes.
         self.n_matrix_ops = 2
 
@@ -628,7 +646,7 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         row_means = np.concatenate([strip.mean(axis=1) for strip in strips])
         grand_mean = float(row_means.mean())
         return [
-            strip - row_means[sl, None] - row_means[None, :] + grand_mean
+            center_symmetric_strip(strip, row_means[sl], row_means, grand_mean)
             for strip, sl in zip(strips, self.grams.row_slices)
         ]
 
@@ -640,15 +658,11 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
                 if key not in self._centered:
                     centered = self._centered_strips(key)
                     yc = self.centered_y
-                    target_inner = float(
-                        sum(
-                            yc[sl] @ strip @ yc
-                            for strip, sl in zip(centered, self.grams.row_slices)
-                        )
+                    parts = [strip_row_stats(strip, yc) for strip in centered]
+                    target_inner = reduce_strip_rows(
+                        [part[0] for part in parts], yc
                     )
-                    self_inner = float(
-                        sum(np.sum(strip * strip) for strip in centered)
-                    )
+                    self_inner = reduce_strip_rows([part[1] for part in parts])
                     with self._lock:
                         self._target_inner[key] = target_inner
                         self._pair_inner[(key, key)] = self_inner
@@ -659,7 +673,7 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
         return self._target_inner[key], self._pair_inner[(key, key)]
 
     def pair_inner(self, first: Sequence[int], second: Sequence[int]) -> float:
-        """``M_ij = <C_i, C_j>`` as a sum of per-shard strip inners."""
+        """``M_ij = <C_i, C_j>`` as a sum of per-row strip inners."""
         key = tuple(sorted((canonical_block_key(first), canonical_block_key(second))))
         value = self._pair_inner.get(key)
         if value is not None:
@@ -670,11 +684,11 @@ class ShardedBlockStatsCache(_KeyLocked, _PartitionStatsMixin):
             return self._pair_inner[key]
         with self._key_lock(("pair", key)):
             if key not in self._pair_inner:
-                value = float(
-                    sum(
-                        frobenius_inner(ci, cj)
+                value = reduce_strip_rows(
+                    [
+                        strip_row_inners(ci, cj)
                         for ci, cj in zip(self._centered[key[0]], self._centered[key[1]])
-                    )
+                    ]
                 )
                 with self._lock:
                     self._pair_inner[key] = value

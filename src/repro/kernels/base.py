@@ -49,6 +49,15 @@ class Kernel(abc.ABC):
         gram = self.compute(X, Z)
         return np.asarray(gram, dtype=float)
 
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        """Self-similarities ``k(X[i], X[i])`` — the diagonal of ``self(X)``.
+
+        This default builds the whole Gram; kernels whose diagonal is
+        known in closed form override it, so normalisation diagonals
+        cost O(n) instead of an n×n evaluation.
+        """
+        return np.diag(self(X)).copy()
+
     def restrict(self, columns: Sequence[int]) -> "SubsetKernel":
         """Return this kernel applied only to the given feature columns."""
         return SubsetKernel(self, columns)
@@ -97,13 +106,23 @@ class SubsetKernel(Kernel):
         self.base = base
         self.columns = columns
 
-    def compute(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def _columns_of(self, X: np.ndarray) -> np.ndarray:
         max_needed = max(self.columns)
         if X.shape[1] <= max_needed:
             raise ValueError(
                 f"data has {X.shape[1]} columns, subset needs column {max_needed}"
             )
-        return self.base.compute(X[:, self.columns], Z[:, self.columns])
+        return X[:, self.columns]
+
+    def compute(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        X_sub = self._columns_of(X)
+        # Slicing a self-Gram once keeps ``Z is X``, which is what lets
+        # the base kernel take its symmetric (condensed) fast path.
+        Z_sub = X_sub if Z is X else self._columns_of(Z)
+        return self.base.compute(X_sub, Z_sub)
+
+    def diagonal(self, X: np.ndarray) -> np.ndarray:
+        return self.base.diagonal(self._columns_of(as_2d(X)))
 
     def bind(self, X: np.ndarray) -> "SubsetKernel":
         X = as_2d(X)

@@ -38,7 +38,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ from repro.cluster.protocol import (
     dump_payload,
     load_payload,
 )
+from repro.engine.backends import process_context
 from repro.engine.cache import shard_row_slices
 from repro.kernels.base import as_2d
 from repro.serving.model import ServedModel
@@ -138,6 +138,9 @@ class _ProcessTransport:
     target a *specific* process), serving needs strip affinity — each
     model version's strips stay resident in the process that installed
     them — so the transport owns named processes and routes by index.
+    The processes start from :func:`~repro.engine.backends.process_context`,
+    like the engine's pool, so a serving plane built while other
+    threads run cannot inherit their locks.
     """
 
     name = "processes"
@@ -147,7 +150,7 @@ class _ProcessTransport:
             raise ValueError("n_workers must be positive")
         self.n_workers = int(n_workers)
         self.dead_workers: set[int] = set()
-        ctx = multiprocessing.get_context()
+        ctx = process_context()
         self._pipes = []
         self._procs = []
         for index in range(self.n_workers):
